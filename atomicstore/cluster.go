@@ -194,25 +194,41 @@ func (c *Cluster) Client(opts ...Option) (*Client, error) {
 	return &Client{cl: cl, ep: ep, pinned: cfg.pinned}, nil
 }
 
-// Crash kills one server abruptly: its endpoint stops delivering,
-// every other process observes the failure through the perfect failure
-// detector, and — when the cluster is durable — WAL records staged
-// since the last covering sync are dropped on the floor, exactly as a
-// process crash would drop them. Exercises the ring's
-// splice-and-recover path; Restart exercises log recovery.
-func (c *Cluster) Crash(id ServerID) {
+// Crash kills the given servers abruptly and at one instant: their
+// endpoints stop delivering, every surviving process observes each
+// failure through the perfect failure detector, and — when the cluster
+// is durable — WAL records staged since the last covering sync are
+// dropped on the floor, exactly as a process crash would drop them.
+// Crashing several servers in one call is a simultaneous crash (a
+// power loss): none of them splices another out of its ring and keeps
+// serving in between, which a restart of the full membership could not
+// reconcile. Exercises the ring's splice-and-recover path; Restart
+// exercises log recovery.
+func (c *Cluster) Crash(ids ...ServerID) {
 	c.mu.Lock()
-	srv := c.servers[id]
-	ep := c.eps[id]
-	delete(c.servers, id)
-	delete(c.eps, id)
+	var (
+		victims []ServerID
+		srvs    []*core.Server
+		eps     []*transport.MemEndpoint
+	)
+	for _, id := range ids {
+		if srv := c.servers[id]; srv != nil {
+			victims = append(victims, id)
+			srvs = append(srvs, srv)
+			eps = append(eps, c.eps[id])
+			delete(c.servers, id)
+			delete(c.eps, id)
+		}
+	}
 	c.mu.Unlock()
-	if srv == nil {
+	if len(victims) == 0 {
 		return
 	}
-	c.net.Crash(id)
-	srv.Kill()
-	_ = ep.Close()
+	c.net.Crash(victims...)
+	for i, srv := range srvs {
+		srv.Kill()
+		_ = eps[i].Close()
+	}
 }
 
 // Restart brings a crashed (or freshly stopped) server back up on a

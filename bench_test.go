@@ -324,6 +324,17 @@ func BenchmarkWireEncode(b *testing.B) { bench.WireEncodeLoop(b) }
 // request/ack path of the TCP transport — at 0 allocs/op.
 func BenchmarkWireEncodeDecodePooled(b *testing.B) { bench.WireRoundTripLoop(b) }
 
+// BenchmarkWirePooledValueCycle measures the inbound value cycle of a
+// lane server's TCP reader: a pooled decode, which copies the value into
+// a buffer of its size class, then RetireValue — 0 allocs/op. The loop
+// lives in internal/bench so BENCH_hotpath.json measures the identical
+// thing.
+func BenchmarkWirePooledValueCycle(b *testing.B) {
+	for _, n := range []int{128, 1024} {
+		b.Run(fmt.Sprintf("value=%dB", n), bench.PooledValueCycleLoop(n))
+	}
+}
+
 // BenchmarkFederationRoute measures the federated client's per-
 // operation routing decision (placement.RingOf) at 0 allocs/op. The
 // loop lives in internal/bench so BENCH_hotpath.json measures the

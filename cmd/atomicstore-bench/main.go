@@ -49,7 +49,7 @@ func run() error {
 		hotpathOut = flag.String("hotpath-out", "BENCH_hotpath.json", "where -hotpath writes its report")
 		echoMsgs   = flag.Int("hotpath-echo-msgs", 60000, "messages per TCP echo measurement")
 		moWindow   = flag.Duration("hotpath-window", time.Second, "measurement window per multi-object data point")
-		strict     = flag.Bool("hotpath-strict", false, "exit non-zero if a hot path allocates (codec encode/round trip, pending-set add/prune, the read fast path, the ack enqueue/fast path, the federation routing decision, the WAL append path, or the egress enqueue/flush > 0 allocs/op) or the vectored egress loses its 256 B speedup floor")
+		strict     = flag.Bool("hotpath-strict", false, "exit non-zero if a hot path allocates (codec encode/round trip, the pooled value decode/retire cycle, pending-set add/prune, the read fast path, the ack enqueue/fast path, the federation routing decision, the WAL append path, or the egress enqueue/flush > 0 allocs/op) or the vectored egress loses its 256 B speedup floor")
 		gridFile   = flag.String("grid", "", "run the experiment grid declared in this JSON file (see experiments.json)")
 		gridOut    = flag.String("grid-out", "paper_runs/latest", "output directory for -grid CSVs and summaries")
 		gridSmoke  = flag.Bool("grid-smoke", false, "scale the grid down to a seconds-long smoke configuration (1 repeat, short windows, capped fleets)")
@@ -124,6 +124,10 @@ func runHotpath(out string, echoMsgs int, window time.Duration, strict bool) err
 	fmt.Printf("wire codec:    encode %.1f ns/op (%d allocs), round trip %.1f ns/op (%d allocs), %.0f MB/s\n",
 		rep.Wire.EncodeNsPerOp, rep.Wire.EncodeAllocsPerOp,
 		rep.Wire.RoundTripNsPerOp, rep.Wire.RoundTripAllocsPerOp, rep.Wire.MBPerSec)
+	for _, row := range rep.ValuePool.Rows {
+		fmt.Printf("value pool:    %4dB pooled decode + retire %.1f ns/op (%d allocs)\n",
+			row.ValueBytes, row.NsPerOp, row.AllocsPerOp)
+	}
 	fmt.Printf("egress:        enqueue encode %.1f ns/op (%d allocs)\n",
 		rep.Egress.EnqueueNsPerOp, rep.Egress.EnqueueAllocsPerOp)
 	for _, row := range rep.Egress.Rows {
@@ -187,6 +191,12 @@ func runHotpath(out string, echoMsgs int, window time.Duration, strict bool) err
 		if rep.Wire.EncodeAllocsPerOp != 0 || rep.Wire.RoundTripAllocsPerOp != 0 {
 			return fmt.Errorf("codec hot path allocates: encode %d allocs/op, round trip %d allocs/op (want 0)",
 				rep.Wire.EncodeAllocsPerOp, rep.Wire.RoundTripAllocsPerOp)
+		}
+		for _, row := range rep.ValuePool.Rows {
+			if row.AllocsPerOp != 0 {
+				return fmt.Errorf("pooled value decode/retire cycle allocates at %d B: %d allocs/op (want 0)",
+					row.ValueBytes, row.AllocsPerOp)
+			}
 		}
 		if rep.PendingSet.AddPruneAllocsPerOp != 0 {
 			return fmt.Errorf("pending-set add/prune allocates: %d allocs/op (want 0)",

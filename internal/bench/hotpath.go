@@ -29,6 +29,7 @@ type HotpathReport struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 
 	Wire         WireCodecStats    `json:"wire_codec"`
+	ValuePool    ValuePoolStats    `json:"value_pool"`
 	Egress       EgressStats       `json:"egress"`
 	TCPEcho      TCPEchoStats      `json:"tcp_echo"`
 	PendingSet   PendingSetStats   `json:"pending_set"`
@@ -102,6 +103,25 @@ type WireCodecStats struct {
 	// MBPerSec is the round-trip encode+decode goodput.
 	MBPerSec float64 `json:"mb_per_sec"`
 }
+
+// ValuePoolStats reports the inbound value cycle of a lane server's
+// TCP reader: a pooled decode of a one-envelope pre-write, which copies
+// the value into a buffer of its size class, then RetireValue. Steady
+// state must be 0 allocs/op at every size; -hotpath-strict enforces it.
+type ValuePoolStats struct {
+	Rows []ValuePoolRow `json:"rows"`
+}
+
+// ValuePoolRow is the value cycle at one value size.
+type ValuePoolRow struct {
+	ValueBytes  int     `json:"value_bytes"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+}
+
+// valuePoolSizes are the gated value sizes: the 128 B and 1 KiB values
+// of the repository benchmark's two workloads.
+var valuePoolSizes = []int{128, 1024}
 
 // TCPEchoStats compares the coalescing writer against the
 // flush-per-frame baseline on a loopback echo.
@@ -243,6 +263,30 @@ func WireRoundTripLoop(b *testing.B) {
 	}
 }
 
+// PooledValueCycleLoop is the body of BenchmarkWirePooledValueCycle:
+// a pooled decode of a one-envelope pre-write carrying valueBytes, then
+// RetireValue, 0 allocs/op in steady state.
+func PooledValueCycleLoop(valueBytes int) func(b *testing.B) {
+	return func(b *testing.B) {
+		f := wire.NewFrame(wire.Envelope{Kind: wire.KindPreWrite, Origin: 1, Tag: tag.Tag{TS: 1, ID: 1}, Value: make([]byte, valueBytes)})
+		buf, err := f.AppendTo(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body := buf[4:]
+		b.ReportAllocs()
+		b.SetBytes(int64(valueBytes))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			got, err := wire.DecodeFrameBodyPooled(body)
+			if err != nil {
+				b.Fatal(err)
+			}
+			got.Env.RetireValue()
+		}
+	}
+}
+
 // PendingSetOpsLoop is the body of BenchmarkPendingSet: steady-state
 // add/prune cycles at the given depth, 0 allocs/op.
 func PendingSetOpsLoop(depth int) func(b *testing.B) {
@@ -329,6 +373,20 @@ func MeasureWireCodec() WireCodecStats {
 		RoundTripAllocsPerOp: rt.AllocsPerOp(),
 		MBPerSec:             mbps,
 	}
+}
+
+// MeasureValuePool runs the pooled value cycle at every gated size.
+func MeasureValuePool() ValuePoolStats {
+	var st ValuePoolStats
+	for _, n := range valuePoolSizes {
+		r := testing.Benchmark(PooledValueCycleLoop(n))
+		st.Rows = append(st.Rows, ValuePoolRow{
+			ValueBytes:  n,
+			NsPerOp:     float64(r.NsPerOp()),
+			AllocsPerOp: r.AllocsPerOp(),
+		})
+	}
+	return st
 }
 
 // TCPEchoThroughput measures round-trip message throughput over a real
@@ -657,6 +715,7 @@ func RunHotpath(ctx context.Context, echoMsgs int, multiObjDuration time.Duratio
 		GoVersion:  runtime.Version(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Wire:       MeasureWireCodec(),
+		ValuePool:  MeasureValuePool(),
 		PendingSet: MeasurePendingSet(),
 		ReadPath:   MeasureReadPath(),
 	}

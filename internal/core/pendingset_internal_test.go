@@ -156,20 +156,34 @@ func TestPendingSetPruneZeroesVacatedSlots(t *testing.T) {
 
 // TestObjectStatePooledRetirement verifies the ownership rule the sorted
 // set must preserve (DESIGN.md §7/§10): pruning the exact tag of a
-// pooled entry returns its buffer to the pool — observable as the next
-// GetBuffer handing back the same backing array on this goroutine —
-// while prefix-pruned entries below the written tag leak to the GC, and
-// an entry whose slice became the stored value is never retired.
+// pooled entry returns its buffer to the value pool — observable as the
+// next pooled decode of a value in the same size class handing back the
+// same backing array on this goroutine — while prefix-pruned entries
+// below the written tag leak to the GC, and an entry whose slice became
+// the stored value is never retired.
 func TestObjectStatePooledRetirement(t *testing.T) {
+	// newPooled takes a one-byte value from the value pool the way the
+	// TCP reader does: a pooled decode, so every value lands in the 64 B
+	// class.
 	newPooled := func(b byte) []byte {
-		buf := wire.GetBuffer()
-		*buf = append((*buf)[:0], b)
-		return *buf
+		f := wire.NewFrame(wire.Envelope{Kind: wire.KindPreWrite, Origin: 1, Tag: tag.Tag{TS: 1, ID: 1}, Value: []byte{b}})
+		buf, err := wire.AppendFrame(nil, &f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := wire.DecodeFrameBodyPooled(buf[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Env.ValuePooled() {
+			t.Fatal("pooled decode did not mark the value")
+		}
+		return got.Env.Value
 	}
 	samePool := func(v []byte) bool {
-		got := wire.GetBuffer()
-		same := sameSlice((*got)[:1:1], v[:1:1])
-		wire.PutBuffer(got)
+		got := newPooled(0)
+		same := sameSlice(got[:1:1], v[:1:1])
+		wire.PutValue(got)
 		return same
 	}
 
@@ -189,6 +203,14 @@ func TestObjectStatePooledRetirement(t *testing.T) {
 	// positive identity check only holds in normal builds.
 	if !raceEnabled && !samePool(exact) {
 		t.Fatal("exact-tag pooled entry was not retired to the pool")
+	}
+	// The prefix-pruned entry's forward may still be in flight, so its
+	// buffer must never come back out of the pool. Draws are kept out of
+	// the pool so each one is a distinct buffer.
+	for i := 0; i < 8; i++ {
+		if v := newPooled('x'); sameSlice(v, low) {
+			t.Fatal("prefix-pruned pooled entry was retired to the pool")
+		}
 	}
 
 	// An entry whose slice was installed as the stored value must NOT

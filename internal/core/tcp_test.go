@@ -236,3 +236,58 @@ func TestTCPLargeValues(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPStoredValuesRightSized pins the replica memory cost of a
+// stored value: every server keeps each object's value in a buffer of
+// the value's size class, not in a transport scratch buffer, so a
+// 128 B value costs at most twice its length on every replica. It
+// checks capacities only, with no timing or heap sampling.
+func TestTCPStoredValuesRightSized(t *testing.T) {
+	const (
+		objects   = 1024
+		valueSize = 128
+		writers   = 8
+	)
+	c := newTCPCluster(t, 3)
+	clients := make([]*client.Client, writers)
+	for i := range clients {
+		clients[i] = c.newClient(0)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	var wg sync.WaitGroup
+	for w, cl := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for obj := w; obj < objects; obj += writers {
+				val := make([]byte, valueSize)
+				val[0] = byte(obj)
+				if _, err := cl.Write(ctx, wire.ObjectID(obj), val); err != nil {
+					t.Errorf("write object %d: %v", obj, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for _, id := range c.members {
+		srv := c.servers[id]
+		for obj := wire.ObjectID(0); obj < objects; obj++ {
+			// A write is acked once its write phase returned to the
+			// origin, so every replica has already installed it.
+			v := srv.StoredValue(obj)
+			if len(v) != valueSize || v[0] != byte(obj) {
+				t.Fatalf("server %d object %d: stored %d bytes, want the %d B write", id, obj, len(v), valueSize)
+			}
+			if cap(v) > 2*len(v) {
+				t.Fatalf("server %d object %d: stored value cap %d for len %d, want <= %d",
+					id, obj, cap(v), len(v), 2*len(v))
+			}
+		}
+	}
+}

@@ -51,7 +51,9 @@ const (
 	ActHeal
 	// ActCrash kills one server (or all, or a uniformly random live
 	// one) through the cluster's crash hook: endpoint down, failure
-	// detector fires, staged WAL records are lost.
+	// detector fires, staged WAL records are lost. 'all' is one
+	// simultaneous crash, so no server outlives another long enough to
+	// serve in a spliced ring.
 	ActCrash
 	// ActRestart restarts crashed servers ('all' restarts every
 	// crashed server in ascending id order), replaying their WAL when

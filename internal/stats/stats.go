@@ -13,7 +13,7 @@ import (
 )
 
 // Histogram is a concurrency-safe latency histogram with logarithmically
-// spaced buckets from 1µs to ~17s, plus exact min/max/sum.
+// spaced buckets from 1µs to ~40s, plus exact min/max/sum.
 type Histogram struct {
 	mu      sync.Mutex
 	buckets [bucketCount]uint64
@@ -25,7 +25,8 @@ type Histogram struct {
 
 const (
 	bucketCount = 96
-	// bucketsPerDecade controls resolution: 4 buckets per factor of ~2.7.
+	// bucketBase is the geometric growth factor between bucket bounds:
+	// 1.2x buckets are about 12.6 per decade (ln 10 / ln 1.2).
 	bucketBase = 1.2
 	bucketUnit = time.Microsecond
 )

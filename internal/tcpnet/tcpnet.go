@@ -709,12 +709,12 @@ func (e *Endpoint) acceptLoop() {
 // Reader's body buffer comes from the shared pool and goes back when
 // the connection dies. A demuxed endpoint belongs to a lane server that
 // honors the pooled-value retire contract, so its frames copy values
-// into pooled owned buffers (the algorithm retains values indefinitely,
-// so they must outlive the body buffer) and the server returns each
-// buffer when it retires the value; endpoints without a demux (clients,
-// raw transport users) keep exact-size allocations, since their
-// consumers never retire and a pooled copy would just waste a
-// pool-sized buffer per message.
+// into size-classed buffers from the value pool (the algorithm retains
+// values indefinitely, so they must outlive the body buffer) and the
+// server returns each buffer when it retires the value; endpoints
+// without a demux (clients, raw transport users) keep exact-size
+// allocations, since their consumers never retire and a class-rounded
+// copy would only waste up to half of each buffer.
 func (e *Endpoint) readLoop(p *peer) {
 	defer e.wg.Done()
 	r := wire.NewReaderSize(p.conn, e.opts.ReadBufferBytes)

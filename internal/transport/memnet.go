@@ -133,26 +133,34 @@ func (n *MemNetwork) register(id wire.ProcessID, hello *wire.Hello) (*MemEndpoin
 	return ep, nil
 }
 
-// Crash simulates the crash of a process: its endpoint stops accepting
-// and delivering messages and every other endpoint receives a failure
-// notification. Crashing an unknown or already-down process is a no-op.
-func (n *MemNetwork) Crash(id wire.ProcessID) {
+// Crash simulates the simultaneous crash of the given processes: their
+// endpoints stop accepting and delivering messages, and every endpoint
+// that survives receives one failure notification per crashed process.
+// The victims leave the network at one instant, so none of them hears
+// of another's crash (a power loss, not a rolling failure). Crashing
+// an unknown or already-down process is a no-op.
+func (n *MemNetwork) Crash(ids ...wire.ProcessID) {
 	n.mu.Lock()
-	victim := n.endpoints[id]
-	if victim == nil {
-		n.mu.Unlock()
-		return
+	var victims []*MemEndpoint
+	for _, id := range ids {
+		if ep := n.endpoints[id]; ep != nil {
+			delete(n.endpoints, id)
+			victims = append(victims, ep)
+		}
 	}
-	delete(n.endpoints, id)
 	others := make([]*MemEndpoint, 0, len(n.endpoints))
 	for _, ep := range n.endpoints {
 		others = append(others, ep)
 	}
 	n.mu.Unlock()
 
-	victim.shutdown()
+	for _, v := range victims {
+		v.shutdown()
+	}
 	for _, ep := range others {
-		ep.notifyFailure(id)
+		for _, v := range victims {
+			ep.notifyFailure(v.id)
+		}
 	}
 }
 

@@ -102,6 +102,38 @@ func TestCrashNotifiesEveryoneElse(t *testing.T) {
 	}
 }
 
+// TestCrashManyIsSimultaneous: crashing several processes in one call
+// takes them off the network together, so no victim is told of
+// another's crash (a victim that heard would splice it out and keep
+// serving in between), while every survivor hears of each.
+func TestCrashManyIsSimultaneous(t *testing.T) {
+	n := NewMemNetwork(MemNetworkOptions{})
+	a, _ := n.Register(1)
+	b, _ := n.Register(2)
+	c, _ := n.Register(3)
+	n.Crash(1, 2)
+
+	for _, victim := range []*MemEndpoint{a, b} {
+		select {
+		case got := <-victim.Failures():
+			t.Fatalf("crashed endpoint %d received failure notice %d", victim.ID(), got)
+		default:
+		}
+	}
+	seen := map[wire.ProcessID]bool{}
+	for len(seen) < 2 {
+		select {
+		case got := <-c.Failures():
+			seen[got] = true
+		case <-time.After(time.Second):
+			t.Fatalf("survivor heard of %v, want crashes of 1 and 2", seen)
+		}
+	}
+	if !seen[1] || !seen[2] {
+		t.Fatalf("survivor heard of %v, want crashes of 1 and 2", seen)
+	}
+}
+
 func TestSendToCrashedPeer(t *testing.T) {
 	n := NewMemNetwork(MemNetworkOptions{})
 	a, _ := n.Register(1)

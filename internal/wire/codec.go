@@ -142,10 +142,11 @@ const (
 	// valueAlias keeps the Value aliasing the input buffer; the caller
 	// owns the lifetime contract.
 	valueAlias
-	// valuePooled copies the value into a buffer from the shared pool
-	// and marks the envelope FlagPooledValue: the receiver returns the
-	// buffer with PutValue (or Envelope.RetireValue) once the value is
-	// retired, making the steady-state inbound path allocation-free.
+	// valuePooled copies the value into a buffer of its size class from
+	// the value pool and marks the envelope FlagPooledValue: the receiver
+	// returns the buffer with PutValue (or Envelope.RetireValue) once the
+	// value is retired, making the steady-state inbound path
+	// allocation-free.
 	valuePooled
 )
 
@@ -185,9 +186,8 @@ func decodeEnvelopeInto(env *Envelope, data []byte, mode valueMode) ([]byte, err
 		case valueAlias:
 			env.Value = data[:vlen:vlen]
 		case valuePooled:
-			b := GetBuffer()
-			*b = append((*b)[:0], data[:vlen]...)
-			env.Value = *b
+			env.Value = getValue(int(vlen))
+			copy(env.Value, data[:vlen])
 			env.Flags |= FlagPooledValue
 		default:
 			env.Value = append([]byte(nil), data[:vlen]...)
@@ -218,9 +218,10 @@ func DecodeFrameBody(body []byte) (Frame, error) {
 }
 
 // DecodeFrameBodyPooled is DecodeFrameBody with the values copied into
-// buffers from the shared pool instead of fresh allocations; the decoded
-// envelopes carry FlagPooledValue and the receiver returns each buffer
-// with PutValue (or lets it fall to the GC) when the value is retired.
+// size-classed buffers from the value pool instead of fresh
+// allocations; the decoded envelopes carry FlagPooledValue and the
+// receiver returns each buffer with PutValue (or lets it fall to the
+// GC) when the value is retired.
 func DecodeFrameBodyPooled(body []byte) (Frame, error) {
 	var f Frame
 	if err := f.decodeFrom(body, valuePooled); err != nil {
@@ -335,10 +336,12 @@ func (f *Frame) resetDecode() {
 	f.Lane = 0
 }
 
-// bufPool holds encode/decode scratch buffers shared by the transports.
+// bufPool holds the scratch buffers shared by the transports: reader
+// bodies, egress slabs, handshakes and encoded frames. Decoded values
+// never live here (they have their own size-classed pool, PutValue).
 // Buffers start at 4 KiB — enough for a coalesced batch of typical
 // frames — and grow in place; oversized buffers (beyond 1 MiB) are not
-// returned to the pool so one huge value does not pin memory forever.
+// returned to the pool so one huge frame does not pin memory forever.
 var bufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -346,7 +349,8 @@ var bufPool = sync.Pool{
 	},
 }
 
-// maxPooledBuffer bounds the capacity of buffers kept by the pool.
+// maxPooledBuffer bounds the capacity of buffers kept by the scratch
+// pool, and is the largest value size class.
 const maxPooledBuffer = 1 << 20
 
 // GetBuffer returns a zero-length scratch buffer from the shared pool.
@@ -364,21 +368,6 @@ func PutBuffer(b *[]byte) {
 		return
 	}
 	bufPool.Put(b)
-}
-
-// PutValue returns a pool-owned value slice (a decoded envelope value
-// produced by the valuePooled mode) to the shared pool. The caller must
-// hold the only remaining reference: a buffer recycled while aliased
-// elsewhere corrupts whoever still reads it. Unlike the value-sized
-// allocation it replaces, the re-boxing here costs one slice header;
-// values that are never retired (installed register values, values
-// handed to applications) simply fall to the GC, which is always safe.
-func PutValue(v []byte) {
-	if cap(v) == 0 || cap(v) > maxPooledBuffer {
-		return
-	}
-	b := v[:0:cap(v)]
-	bufPool.Put(&b)
 }
 
 // Writer serializes frames onto an io.Writer with length-prefixed framing.

@@ -101,7 +101,7 @@ const (
 	// usable bandwidth. Recovery and adoption writes never elide.
 	FlagValueElided uint8 = 1 << iota
 	// FlagPooledValue marks an envelope whose Value is backed by a
-	// buffer from this process's shared pool (GetBuffer). It is a local
+	// buffer from this process's value pool (PutValue). It is a local
 	// ownership mark, never part of the wire format: the encoder masks
 	// it out and the decoder clears it, setting it only when it copied
 	// the value into a pooled buffer itself. Whoever drops the last
@@ -174,7 +174,7 @@ func (e *Envelope) ValuePooled() bool {
 }
 
 // RetireValue returns the envelope's pool-owned value buffer (if any) to
-// the shared pool and drops the reference. Callers invoke it only when
+// the value pool and drops the reference. Callers invoke it only when
 // the envelope's value was never handed to anyone else.
 func (e *Envelope) RetireValue() {
 	if e.ValuePooled() {
@@ -240,7 +240,7 @@ func NewLaneFrame(env Envelope, lane uint8) Frame {
 }
 
 // Retire returns every pool-owned value buffer the frame carries to the
-// shared pool (see Envelope.RetireValue for the ownership contract).
+// value pool (see Envelope.RetireValue for the ownership contract).
 // For frames that are dropped without any envelope being processed.
 func (f *Frame) Retire() {
 	f.Env.RetireValue()
